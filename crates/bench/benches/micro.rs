@@ -180,21 +180,74 @@ fn bench_batch_drain(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_region_sync(c: &mut Criterion) {
-    // The region-partitioned scheduler's overheads in isolation, next to
-    // `batch_drain` (its single-queue counterpart):
-    //
-    // * `spsc_ring_*` — the cross-region transport: cost of moving 8-byte
-    //   record handles through the bounded SPSC ring in burst-sized chunks
-    //   (the shape a region drain produces).
-    // * `churn_rK_*` — steady-state pop/schedule churn on the region
-    //   scheduler at 1 and 2 regions, at 1k and 100k pending events. The
-    //   r2 cells pay the full conservative-sync accounting per pop (region
-    //   clocks, safe-until bounds from the lookahead matrix, min-rule
-    //   grants, null-message counting), so r2-minus-r1 at equal pending is
-    //   the null-message/synchronization overhead per event.
+fn bench_region_churn(c: &mut Criterion) {
+    // Steady-state pop/schedule churn on the region-major scheduler at 1
+    // and 2 regions, at 1k and 100k pending events, next to `batch_drain`
+    // (its single-queue counterpart). r2-minus-r1 at equal pending is the
+    // per-event cost of the head scan across per-region queues.
     const CHURN: u64 = 10_000;
-    let mut g = c.benchmark_group("region_sync");
+    let mut g = c.benchmark_group("region_churn");
+    g.throughput(Throughput::Elements(CHURN));
+    for regions in [1usize, 2] {
+        for pending in [1_000usize, 100_000] {
+            let name = format!("churn_r{regions}_{pending}_pending");
+            g.bench_function(&name, |b| {
+                b.iter_with_setup(
+                    || {
+                        let mut q: FutureEventList<u64> = FutureEventList::with_backend_regions(
+                            SchedulerBackend::Calendar,
+                            pending,
+                            regions,
+                        );
+                        let mut rng = DetRng::seed(7);
+                        for i in 0..pending as u64 {
+                            let r = (i as usize) % regions;
+                            q.schedule_tagged(r, sim_like_delay(&mut rng), i);
+                        }
+                        (q, rng)
+                    },
+                    |(mut q, mut rng)| {
+                        let mut acc = 0u64;
+                        for i in 0..CHURN {
+                            let (_, e) = q.pop().expect("pending events");
+                            acc = acc.wrapping_add(e);
+                            let r = (i as usize) % regions;
+                            q.schedule_tagged(r, sim_like_delay(&mut rng), i);
+                        }
+                        black_box((acc, q.len()))
+                    },
+                )
+            });
+        }
+    }
+    g.finish();
+}
+
+fn bench_parallel_epochs(c: &mut Criterion) {
+    // The thread-per-region executor's fixed costs in isolation, next to
+    // `region_churn` (the sequential region-major scheduler):
+    //
+    // * `spsc_ring_burst_N` — the cross-region transport: cost of moving
+    //   8-byte record handles through the bounded SPSC ring in N-sized
+    //   chunks (the shape an epoch's outbox shipment produces).
+    // * `epoch_barrier_kK` — the two-barrier epoch protocol at K worker
+    //   threads: publish the region clock, barrier, compute the global
+    //   minimum, barrier. This is the floor every epoch pays even when no
+    //   region dispatches anything, so epochs/sec here bounds how finely
+    //   lookahead can slice the horizon before synchronization dominates.
+    //   (On a host with fewer cores than K the barriers context-switch,
+    //   which is the honest cost on that host.)
+    // * `ring_drain_kK_N` — consumer-side drain of a full K×(K-1) cross-cut
+    //   mailbox holding N 8-byte handles, the shape one epoch's "drain
+    //   rings" step sees after a bursty epoch. Rings are sized to hold
+    //   their share so this isolates the SPSC pop path (the executor's
+    //   overflow spill is measured implicitly by perf_report, not here).
+    use simcore::spsc::EpochBarrier;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    const EPOCHS: u64 = 1_000;
+    const CHURN: u64 = 10_000;
+    let mut g = c.benchmark_group("parallel_epochs");
     g.throughput(Throughput::Elements(CHURN));
     for burst in [64usize, 512] {
         g.bench_function(&format!("spsc_ring_burst_{burst}"), |b| {
@@ -217,70 +270,6 @@ fn bench_region_sync(c: &mut Criterion) {
             )
         });
     }
-    for regions in [1usize, 2] {
-        for pending in [1_000usize, 100_000] {
-            let name = format!("churn_r{regions}_{pending}_pending");
-            g.bench_function(&name, |b| {
-                b.iter_with_setup(
-                    || {
-                        let mut q: FutureEventList<u64> = FutureEventList::with_backend_regions(
-                            SchedulerBackend::Calendar,
-                            pending,
-                            regions,
-                        );
-                        if regions == 2 {
-                            // A cut with one 500 µs data channel each way
-                            // of the partition (finite lookahead: the
-                            // accounting must actually bound progress and
-                            // mint null-message grants, not short-circuit
-                            // on SimTime::MAX).
-                            q.set_region_lookahead(&[0, 500, 500, 0]);
-                        }
-                        let mut rng = DetRng::seed(7);
-                        for i in 0..pending as u64 {
-                            let r = (i as usize) % regions;
-                            q.schedule_tagged(r, sim_like_delay(&mut rng), i);
-                        }
-                        (q, rng)
-                    },
-                    |(mut q, mut rng)| {
-                        let mut acc = 0u64;
-                        for i in 0..CHURN {
-                            let (_, e) = q.pop().expect("pending events");
-                            acc = acc.wrapping_add(e);
-                            let r = (i as usize) % regions;
-                            q.schedule_tagged(r, sim_like_delay(&mut rng), i);
-                        }
-                        black_box((acc, q.len(), q.region_sync_stats().null_msgs))
-                    },
-                )
-            });
-        }
-    }
-    g.finish();
-}
-
-fn bench_parallel_epochs(c: &mut Criterion) {
-    // The thread-per-region executor's fixed costs in isolation, next to
-    // `region_sync` (the sequential conservative-sync accounting):
-    //
-    // * `epoch_barrier_kK` — the two-barrier epoch protocol at K worker
-    //   threads: publish the region clock, barrier, compute the global
-    //   minimum, barrier. This is the floor every epoch pays even when no
-    //   region dispatches anything, so epochs/sec here bounds how finely
-    //   lookahead can slice the horizon before synchronization dominates.
-    //   (On a host with fewer cores than K the barriers context-switch,
-    //   which is the honest cost on that host.)
-    // * `ring_drain_kK_N` — consumer-side drain of a full K×(K-1) cross-cut
-    //   mailbox holding N 8-byte handles, the shape one epoch's "drain
-    //   rings" step sees after a bursty epoch. Rings are sized to hold
-    //   their share so this isolates the SPSC pop path (the executor's
-    //   overflow spill is measured implicitly by perf_report, not here).
-    use simcore::spsc::EpochBarrier;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    const EPOCHS: u64 = 1_000;
-    let mut g = c.benchmark_group("parallel_epochs");
     for k in [2usize, 4] {
         g.throughput(Throughput::Elements(EPOCHS));
         g.bench_function(&format!("epoch_barrier_k{k}"), |b| {
@@ -524,7 +513,7 @@ criterion_group!(
     bench_event_queue,
     bench_scheduler_backends,
     bench_batch_drain,
-    bench_region_sync,
+    bench_region_churn,
     bench_parallel_epochs,
     bench_routing,
     bench_state_backend,

@@ -13,10 +13,13 @@
 //!
 //! Usage: `perf_report [--out FILE] [--baseline FILE] [--quick]
 //!                     [--backend heap|calendar|both]
-//!                     [--dispatch single|batch|both]
-//!                     [--regions 1|2|K|both] [--reps N]
+//!                     [--dispatch single|batch|both] [--reps N]
 //!                     [--sink null|mem|jsonl]
 //!                     [--require-digest-match] [--no-parallel]`
+//!
+//! Flags are strict: an unknown flag, a value flag without its value, or
+//! an unparseable value (`--reps abc`, `--reps 0`) exits 2 with the usage
+//! line. `--out` defaults to `perf_report.json`.
 //!
 //! The scenario matrix is not private to this binary: it is the `perf/`
 //! group of `bench::scenario::registry`, the same named specs the digest
@@ -26,19 +29,15 @@
 //! scenario digests to the recorded `BENCH_PRn.json` trajectory.
 //!
 //! By default every scenario runs on the full {scheduler backend} ×
-//! {dispatch mode} × {region count} grid — binary heap and calendar queue,
-//! single-pop and batch drain, sequential (regions=1) and region-partitioned
-//! (regions=2) scheduling — interleaved (so machine-load drift hits every
-//! cell equally), and the process **hard-fails** if any scenario's digest
-//! differs between any two cells: the calendar queue, batch dispatch and
-//! region partitioning are all required to be behavior-preserving rewrites,
-//! proven by digests, not assumed. `--reps N` repeats each cell N times and
-//! reports the median events/sec (used for the recorded `BENCH_PRn.json`
-//! A/Bs). `--backend` / `--dispatch` / `--regions` restrict the grid to one
-//! axis value (used by CI's per-cell digest-stability job); `--regions both`
-//! is the default `{1, 2}` pair, any integer `K` pins that region count.
-//! The headline cell stays the sequential engine (regions=1) — the region
-//! A/B is reported alongside, never silently substituted.
+//! {dispatch mode} grid — binary heap and calendar queue, single-pop and
+//! batch drain — interleaved (so machine-load drift hits every cell
+//! equally), and the process **hard-fails** if any scenario's digest
+//! differs between any two cells: the calendar queue and batch dispatch
+//! are required to be behavior-preserving rewrites, proven by digests, not
+//! assumed. `--reps N` repeats each cell N times and reports the median
+//! events/sec (used for the recorded `BENCH_PRn.json` A/Bs). `--backend` /
+//! `--dispatch` restrict the grid to one axis value (used by CI's per-cell
+//! digest-stability job).
 //!
 //! With `--baseline`, the report embeds the baseline's events/sec and the
 //! relative improvement, so `BENCH_PRn.json` carries the before/after pair
@@ -82,18 +81,97 @@ use streamflow::{BusSinkKind, DispatchMode};
 struct Cell {
     backend: SchedulerBackend,
     dispatch: DispatchMode,
-    regions: usize,
 }
 
 impl Cell {
     fn label(self) -> String {
-        format!(
-            "{}/{}/r{}",
-            self.backend.name(),
-            self.dispatch.name(),
-            self.regions
-        )
+        format!("{}/{}", self.backend.name(), self.dispatch.name())
     }
+}
+
+const USAGE: &str = "usage: perf_report [--out FILE] [--baseline FILE] [--quick] \
+                     [--backend heap|calendar|both] [--dispatch single|batch|both] \
+                     [--reps N] [--sink null|mem|jsonl] [--require-digest-match] \
+                     [--no-parallel]";
+
+/// The parsed command line.
+#[derive(Debug, PartialEq)]
+struct Args {
+    out: String,
+    baseline: Option<String>,
+    quick: bool,
+    backends: Vec<SchedulerBackend>,
+    dispatches: Vec<DispatchMode>,
+    reps: usize,
+    sink: BusSinkKind,
+    require_digest_match: bool,
+    no_parallel: bool,
+}
+
+/// Parse the flags after the program name. Every flag is known, every
+/// value flag has a value (a following `--flag` does not count as one),
+/// and every value parses; anything else is an error for `main` to
+/// report with exit code 2.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut a = Args {
+        // Deliberately NOT a BENCH_PRn.json name: a bare run must never
+        // overwrite the committed perf-trajectory artifacts.
+        out: "perf_report.json".to_string(),
+        baseline: None,
+        quick: false,
+        backends: vec![SchedulerBackend::BinaryHeap, SchedulerBackend::Calendar],
+        dispatches: vec![DispatchMode::SinglePop, DispatchMode::Batch],
+        reps: 1,
+        sink: BusSinkKind::Null,
+        require_digest_match: false,
+        no_parallel: false,
+    };
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        let mut value = || match it.next() {
+            Some(v) if !v.starts_with("--") => Ok(v.clone()),
+            _ => Err(format!("{flag} needs a value")),
+        };
+        match flag.as_str() {
+            "--out" => a.out = value()?,
+            "--baseline" => a.baseline = Some(value()?),
+            "--quick" => a.quick = true,
+            "--backend" => {
+                let v = value()?;
+                if v != "both" {
+                    let b = SchedulerBackend::parse(&v).ok_or_else(|| {
+                        format!("unknown --backend {v:?} (want heap|calendar|both)")
+                    })?;
+                    a.backends = vec![b];
+                }
+            }
+            "--dispatch" => {
+                let v = value()?;
+                if v != "both" {
+                    let d = DispatchMode::parse(&v).ok_or_else(|| {
+                        format!("unknown --dispatch {v:?} (want single|batch|both)")
+                    })?;
+                    a.dispatches = vec![d];
+                }
+            }
+            "--reps" => {
+                let v = value()?;
+                a.reps = match v.parse() {
+                    Ok(n) if n >= 1 => n,
+                    _ => return Err(format!("--reps {v:?}: want a positive integer")),
+                };
+            }
+            "--sink" => {
+                let v = value()?;
+                a.sink = BusSinkKind::parse(&v)
+                    .ok_or_else(|| format!("unknown --sink {v:?} (want null|mem|jsonl)"))?;
+            }
+            "--require-digest-match" => a.require_digest_match = true,
+            "--no-parallel" => a.no_parallel = true,
+            other => return Err(format!("unknown flag {other:?}")),
+        }
+    }
+    Ok(a)
 }
 
 /// One timed run of one scenario on one cell.
@@ -145,7 +223,6 @@ fn time_run(spec: &ScenarioSpec, cell: Cell) -> RunSample {
     let (mut sim, _) = spec
         .clone()
         .with_cell(cell.backend, cell.dispatch)
-        .with_regions(cell.regions)
         .build_sim();
     // A JSONL-sink run pays the real streaming cost: attach the
     // sink-worker thread on a throwaway temp file for the timed window.
@@ -185,11 +262,7 @@ fn run_scenario(spec: &ScenarioSpec, cells: &[Cell], reps: usize) -> ScenarioRes
     let name = spec.short_name();
     // One warmup run per cell (page in code, warm the allocator).
     for &c in cells {
-        let (mut sim, _) = spec
-            .clone()
-            .with_cell(c.backend, c.dispatch)
-            .with_regions(c.regions)
-            .build_sim();
+        let (mut sim, _) = spec.clone().with_cell(c.backend, c.dispatch).build_sim();
         sim.run_until(secs(1));
     }
     let mut samples: Vec<Vec<RunSample>> = cells.iter().map(|_| Vec::new()).collect();
@@ -416,126 +489,55 @@ fn parallel_axis(quick: bool, reps: usize, sink: BusSinkKind) -> Vec<ParallelRes
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let flag = |name: &str| args.iter().position(|a| a == name);
-    let out_path = flag("--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        // Deliberately NOT a BENCH_PRn.json name: a bare run must never
-        // overwrite the committed perf-trajectory artifacts.
-        .unwrap_or_else(|| "perf_report.json".to_string());
-    let baseline_path = flag("--baseline").and_then(|i| args.get(i + 1).cloned());
-    let quick = flag("--quick").is_some() || bench::quick();
-    let reps = flag("--reps")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1usize)
-        .max(1);
-    let require_digest_match = flag("--require-digest-match").is_some();
-    let no_parallel = flag("--no-parallel").is_some();
-    let backend_arg = flag("--backend").and_then(|i| args.get(i + 1).cloned());
-    let backends: Vec<SchedulerBackend> = match backend_arg.as_deref() {
-        None | Some("both") => vec![SchedulerBackend::BinaryHeap, SchedulerBackend::Calendar],
-        Some(s) => match SchedulerBackend::parse(s) {
-            Some(b) => vec![b],
-            None => {
-                eprintln!("perf_report: unknown --backend {s} (want heap|calendar|both)");
-                std::process::exit(2);
-            }
-        },
-    };
-    let dispatch_arg = flag("--dispatch").and_then(|i| args.get(i + 1).cloned());
-    let dispatches: Vec<DispatchMode> = match dispatch_arg.as_deref() {
-        None | Some("both") => vec![DispatchMode::SinglePop, DispatchMode::Batch],
-        Some(s) => match DispatchMode::parse(s) {
-            Some(m) => vec![m],
-            None => {
-                eprintln!("perf_report: unknown --dispatch {s} (want single|batch|both)");
-                std::process::exit(2);
-            }
-        },
-    };
-    let sink_arg = flag("--sink").and_then(|i| args.get(i + 1).cloned());
-    let bus_sink = match sink_arg.as_deref() {
-        None => BusSinkKind::Null,
-        Some(s) => match BusSinkKind::parse(s) {
-            Some(k) => k,
-            None => {
-                eprintln!("perf_report: unknown --sink {s} (want null|mem|jsonl)");
-                std::process::exit(2);
-            }
-        },
-    };
-    let regions_arg = flag("--regions").and_then(|i| args.get(i + 1).cloned());
-    let region_counts: Vec<usize> = match regions_arg.as_deref() {
-        None | Some("both") => vec![1, 2],
-        Some(s) => match s.parse::<usize>() {
-            Ok(k) if k >= 1 => vec![k],
-            _ => {
-                eprintln!("perf_report: unknown --regions {s} (want 1|2|K|both)");
-                std::process::exit(2);
-            }
-        },
-    };
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let Args {
+        out: out_path,
+        baseline: baseline_path,
+        quick,
+        backends,
+        dispatches,
+        reps,
+        sink: bus_sink,
+        require_digest_match,
+        no_parallel,
+    } = parse_args(&argv).unwrap_or_else(|e| {
+        eprintln!("perf_report: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
+    let quick = quick || bench::quick();
     // The grid, backend-major so repetitions interleave across backends
     // first (the historically noisier axis).
     let mut cells: Vec<Cell> = Vec::new();
     for &backend in &backends {
         for &dispatch in &dispatches {
-            for &regions in &region_counts {
-                cells.push(Cell {
-                    backend,
-                    dispatch,
-                    regions,
-                });
-            }
+            cells.push(Cell { backend, dispatch });
         }
     }
     let cells = cells;
     // The report's headline numbers come from the engine's defaults
-    // (calendar queue, batch dispatch, sequential regions=1) when they're
-    // in the grid; on a restricted grid, from the cell closest to the
-    // defaults — a `--backend heap` run must still headline batch dispatch
-    // (and emit the batch-vs-single A/B), not silently fall back to the
-    // first cell. The region-partitioned cells never headline: regions=1
-    // stays the reference engine.
-    let find = |b: SchedulerBackend, d: DispatchMode, r: usize| {
-        cells
-            .iter()
-            .position(|c| c.backend == b && c.dispatch == d && c.regions == r)
+    // (calendar queue, batch dispatch) when they're in the grid; on a
+    // restricted grid, from the cell closest to the defaults — a
+    // `--backend heap` run must still headline batch dispatch (and emit
+    // the batch-vs-single A/B), not silently fall back to the first cell.
+    let find = |b: SchedulerBackend, d: DispatchMode| {
+        cells.iter().position(|c| c.backend == b && c.dispatch == d)
     };
-    let headline = find(SchedulerBackend::default(), DispatchMode::default(), 1)
+    let headline = find(SchedulerBackend::default(), DispatchMode::default())
         .or_else(|| {
             cells
                 .iter()
-                .position(|c| c.dispatch == DispatchMode::default() && c.regions == 1)
+                .position(|c| c.dispatch == DispatchMode::default())
         })
         .or_else(|| {
             cells
                 .iter()
-                .position(|c| c.backend == SchedulerBackend::default() && c.regions == 1)
+                .position(|c| c.backend == SchedulerBackend::default())
         })
-        .or_else(|| cells.iter().position(|c| c.regions == 1))
         .unwrap_or(0);
-    // Reference cells for the three A/B axes, when present.
-    let heap_ref = find(
-        SchedulerBackend::BinaryHeap,
-        cells[headline].dispatch,
-        cells[headline].regions,
-    );
-    let single_ref = find(
-        cells[headline].backend,
-        DispatchMode::SinglePop,
-        cells[headline].regions,
-    )
-    .filter(|_| cells[headline].dispatch == DispatchMode::Batch);
-    // The region A/B compares the headline (sequential) cell against the
-    // largest partitioned region count sharing its backend/dispatch.
-    let regions_ref = region_counts
-        .iter()
-        .copied()
-        .filter(|&r| r > cells[headline].regions)
-        .max()
-        .and_then(|r| find(cells[headline].backend, cells[headline].dispatch, r));
+    // Reference cells for the two A/B axes, when present.
+    let heap_ref = find(SchedulerBackend::BinaryHeap, cells[headline].dispatch);
+    let single_ref = find(cells[headline].backend, DispatchMode::SinglePop)
+        .filter(|_| cells[headline].dispatch == DispatchMode::Batch);
 
     eprintln!(
         "perf_report: running scenario matrix (quick={quick}, reps={reps}, sink={}, cells={})...",
@@ -596,7 +598,6 @@ fn main() {
         "  \"dispatch\": \"{}\",",
         cells[headline].dispatch.name()
     );
-    let _ = writeln!(json, "  \"regions\": {},", cells[headline].regions);
     let _ = writeln!(json, "  \"bus_sink\": \"{}\",", bus_sink.name());
     let _ = writeln!(json, "  \"aggregate_events_per_sec\": {aggregate:.0},");
     if let Some(h) = heap_ref.filter(|&h| h != headline) {
@@ -625,24 +626,6 @@ fn main() {
             cells[headline].backend.name(),
             aggregate,
             agg_single,
-            gain * 100.0
-        );
-    }
-    if let Some(rr) = regions_ref {
-        let agg_regions = aggregate_for(rr);
-        let gain = agg_regions / aggregate.max(1e-9) - 1.0;
-        let k = cells[rr].regions;
-        let _ = writeln!(
-            json,
-            "  \"aggregate_events_per_sec_regions{k}\": {agg_regions:.0},"
-        );
-        let _ = writeln!(json, "  \"region_partitioning_improvement\": {gain:.4},");
-        eprintln!(
-            "perf_report: regions A/B ({}/{}): {k} regions {:.0} ev/s vs sequential {:.0} ev/s ({:+.1}%), digests identical",
-            cells[headline].backend.name(),
-            cells[headline].dispatch.name(),
-            agg_regions,
-            aggregate,
             gain * 100.0
         );
     }
@@ -768,16 +751,6 @@ fn main() {
             );
             let _ = writeln!(json, "      \"batch_vs_single\": {gain:.4},");
         }
-        if let Some(rr) = regions_ref {
-            let region_eps = r.events_per_sec[rr];
-            let gain = region_eps / eps.max(1e-9) - 1.0;
-            let k = cells[rr].regions;
-            let _ = writeln!(
-                json,
-                "      \"events_per_sec_regions{k}\": {region_eps:.0},"
-            );
-            let _ = writeln!(json, "      \"regions_vs_sequential\": {gain:.4},");
-        }
         let _ = writeln!(json, "      \"sink_records\": {},", r.sink_records);
         let _ = writeln!(json, "      \"digest\": \"0x{:016x}\"", r.digest);
         let _ = writeln!(json, "    }}{comma}");
@@ -830,5 +803,104 @@ fn main() {
             "perf_report: all {} scenario digests byte-identical to the baseline",
             results.len()
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn no_flags_give_the_full_grid_and_safe_defaults() {
+        let a = parse(&[]).expect("defaults parse");
+        assert_eq!(a.out, "perf_report.json");
+        assert_eq!(a.baseline, None);
+        assert_eq!(a.reps, 1);
+        assert_eq!(a.backends.len(), 2);
+        assert_eq!(a.dispatches.len(), 2);
+        assert_eq!(a.sink, BusSinkKind::Null);
+        assert!(!a.quick && !a.require_digest_match && !a.no_parallel);
+    }
+
+    #[test]
+    fn every_flag_reaches_its_field() {
+        let a = parse(&[
+            "--out",
+            "x.json",
+            "--baseline",
+            "BENCH_PR8.json",
+            "--quick",
+            "--backend",
+            "heap",
+            "--dispatch",
+            "batch",
+            "--reps",
+            "5",
+            "--sink",
+            "mem",
+            "--require-digest-match",
+            "--no-parallel",
+        ])
+        .expect("valid flags parse");
+        assert_eq!(
+            a,
+            Args {
+                out: "x.json".into(),
+                baseline: Some("BENCH_PR8.json".into()),
+                quick: true,
+                backends: vec![SchedulerBackend::BinaryHeap],
+                dispatches: vec![DispatchMode::Batch],
+                reps: 5,
+                sink: BusSinkKind::Mem,
+                require_digest_match: true,
+                no_parallel: true,
+            }
+        );
+        let both = parse(&["--backend", "both", "--dispatch", "both"]).expect("both parses");
+        assert_eq!((both.backends.len(), both.dispatches.len()), (2, 2));
+    }
+
+    #[test]
+    fn bad_reps_are_rejected() {
+        for v in ["abc", "0", "-1", "1.5"] {
+            let e = parse(&["--reps", v]).expect_err(v);
+            assert!(e.contains("--reps"), "{e}");
+        }
+    }
+
+    #[test]
+    fn value_flags_without_a_value_are_rejected() {
+        for f in [
+            "--out",
+            "--baseline",
+            "--reps",
+            "--backend",
+            "--dispatch",
+            "--sink",
+        ] {
+            let e = parse(&[f]).expect_err(f);
+            assert_eq!(e, format!("{f} needs a value"));
+            // A following flag is not a value either.
+            let e = parse(&[f, "--quick"]).expect_err(f);
+            assert_eq!(e, format!("{f} needs a value"));
+        }
+    }
+
+    #[test]
+    fn unknown_flags_and_values_are_rejected() {
+        for args in [
+            &["--regions", "2"][..],
+            &["--frobnicate"],
+            &["quick"],
+            &["--backend", "fifo"],
+            &["--dispatch", "many"],
+            &["--sink", "kafka"],
+        ] {
+            assert!(parse(args).is_err(), "{args:?} parsed");
+        }
     }
 }

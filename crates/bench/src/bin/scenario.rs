@@ -6,40 +6,40 @@
 //! scenario --run perf/steady_50k       # one run; prints a digest line
 //! scenario --run NAME --emit report.json   # also write the RunReport JSON
 //! scenario --group perf                # run a whole group, one line each
-//! scenario --group perf --regions 2    # same grid on 2 scheduler regions
 //! scenario --group perf --threads 4    # pin the worker pool to 4 threads
 //! scenario --run NAME --regions 2 --resume-latency 100 --threads 2
 //!                                      # thread-per-region parallel PDES run
-//! scenario --run NAME --sync-stats     # also print region/sync accounting
+//! scenario --run NAME --sync-stats     # also print region/bus accounting
 //! ```
 //!
 //! The digest lines on stdout are fully deterministic (`name digest events
 //! sink_records`), so `scenario --group perf` run twice and diffed is a
 //! process-level determinism smoke — CI's `digest-stability` job uses
-//! exactly that, and diffs `--regions 1` against `--regions 2` to enforce
-//! the region-count digest contract. With `--run`, `--threads N` (N > 1)
-//! executes on the thread-per-region parallel engine instead — the digest
-//! line keeps the same format (events = merged processed count), so CI
-//! diffs a threaded run directly against the sequential run at the same
-//! `--regions`/`--resume-latency`. With `--group`, `--threads N` pins the
-//! sweep worker pool (first-class form of the `SWEEP_THREADS` env var,
-//! which stays as the fallback); each worker still runs one sequential sim.
-//! `--sync-stats` appends a second, equally deterministic line per run with
-//! the per-region event counts, the region-scheduler (sequential) or
-//! epoch (parallel) synchronization counters, and the bus lag/drop
-//! accounting — every number on it is reproducible, so two `--sync-stats`
-//! runs diff clean. `--events FILE` turns on the event bus and writes the
-//! published stream as JSONL: sequential runs stream through the attached
-//! sink-worker thread; `--threads N` runs buffer per region and write the
-//! `(at, region)`-merged stream after the join. Each engine's stream is
-//! byte-deterministic across reruns (the two engines publish different —
-//! but each individually reproducible — telemetry: the parallel executor
-//! samples per-epoch sync counters and region-0 metrics ticks only).
+//! exactly that. `--regions K` with K > 1 is PDES mode and needs a
+//! positive `--resume-latency`; without one the CLI exits 2. With `--run`,
+//! `--threads N` (N > 1) executes on the thread-per-region parallel engine
+//! instead — the digest line keeps the same format (events = merged
+//! processed count), so CI diffs a threaded run directly against the
+//! sequential run at the same `--regions`/`--resume-latency`. With
+//! `--group`, `--threads N` pins the sweep worker pool (first-class form
+//! of the `SWEEP_THREADS` env var, which stays as the fallback); each
+//! worker still runs one sequential sim. `--sync-stats` appends a second,
+//! equally deterministic line per run with the per-region event counts,
+//! the epoch synchronization counters (parallel runs only), and the bus
+//! lag/drop accounting — every number on it is reproducible, so two
+//! `--sync-stats` runs diff clean. `--events FILE` turns on the event bus
+//! and writes the published stream as JSONL: sequential runs stream
+//! through the attached sink-worker thread; `--threads N` runs buffer per
+//! region and write the `(at, region)`-merged stream after the join. Each
+//! engine's stream is byte-deterministic across reruns (the two engines
+//! publish different — but each individually reproducible — telemetry:
+//! the parallel executor samples per-epoch sync counters and region-0
+//! metrics ticks only).
 //! `QUICK=1` compresses the grids as everywhere else.
 
 use bench::quick;
 use bench::scenario::registry;
-use bench::scenario::Runner;
+use bench::scenario::{Runner, ScenarioSpec};
 
 fn usage() -> ! {
     eprintln!(
@@ -48,6 +48,19 @@ fn usage() -> ! {
          (QUICK=1 in the environment compresses timelines)"
     );
     std::process::exit(2);
+}
+
+/// Exit 2 unless a multi-region spec has the positive resume latency PDES
+/// mode needs (the engine would otherwise panic at build time).
+fn require_pdes_latency(spec: &ScenarioSpec) {
+    if spec.regions > 1 && spec.resume_latency == 0 {
+        eprintln!(
+            "scenario: --regions {} needs a positive --resume-latency \
+             (more than one region is PDES mode)",
+            spec.regions
+        );
+        std::process::exit(2);
+    }
 }
 
 fn main() {
@@ -85,6 +98,7 @@ fn main() {
         if let Some(rl) = resume_latency {
             spec = spec.with_resume_latency(rl);
         }
+        require_pdes_latency(&spec);
         let events_path = value("--events");
         if let Some(p) = &events_path {
             spec = spec.with_events_path(p.clone());
@@ -159,15 +173,9 @@ fn main() {
         );
         if sync_stats {
             println!(
-                "{} region_events {:?} sync_runs {} merged_runs {} \
-                 min_rule_grants {} null_msgs {} bus_published {} \
-                 bus_dropped {} bus_lag_max {}",
+                "{} region_events {:?} bus_published {} bus_dropped {} bus_lag_max {}",
                 report.scenario,
                 report.region_events,
-                report.sync_runs,
-                report.merged_runs,
-                report.min_rule_grants,
-                report.null_msgs,
                 report.bus_published,
                 report.bus_dropped,
                 report.bus_lag_max
@@ -202,6 +210,7 @@ fn main() {
             eprintln!("scenario: no scenarios match prefix {prefix:?} (see --list)");
             std::process::exit(2);
         }
+        specs.iter().for_each(require_pdes_latency);
         let reports = Runner::in_process().with_threads(threads).run(&specs);
         for r in &reports {
             println!(
@@ -210,18 +219,8 @@ fn main() {
             );
             if sync_stats {
                 println!(
-                    "{} region_events {:?} sync_runs {} merged_runs {} \
-                     min_rule_grants {} null_msgs {} bus_published {} \
-                     bus_dropped {} bus_lag_max {}",
-                    r.scenario,
-                    r.region_events,
-                    r.sync_runs,
-                    r.merged_runs,
-                    r.min_rule_grants,
-                    r.null_msgs,
-                    r.bus_published,
-                    r.bus_dropped,
-                    r.bus_lag_max
+                    "{} region_events {:?} bus_published {} bus_dropped {} bus_lag_max {}",
+                    r.scenario, r.region_events, r.bus_published, r.bus_dropped, r.bus_lag_max
                 );
             }
         }

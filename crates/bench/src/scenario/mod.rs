@@ -200,15 +200,15 @@ pub struct ScenarioSpec {
     pub backend: SchedulerBackend,
     /// Event dispatch mode (digest-neutral by contract).
     pub dispatch: DispatchMode,
-    /// Scheduler region count (digest-neutral by contract: any region
-    /// count pops the identical event order; see `EngineConfig::regions`).
+    /// Scheduler region count (`EngineConfig::regions`). 1 (the default)
+    /// is the sequential engine; more than one region is PDES mode, needs
+    /// a positive `resume_latency`, and is *not* digest-neutral: its
+    /// contract is *parallel == sequential at the same `regions` and
+    /// `resume_latency`*.
     pub regions: usize,
-    /// Cut-channel resume-notice latency, µs (`EngineConfig::resume_latency`).
-    /// 0 (the default) keeps the merged-exact sequential engine and every
-    /// historical digest; a positive value with `regions > 1` engages PDES
-    /// mode, where the digest contract becomes *parallel == sequential at
-    /// the same `resume_latency`* rather than equality with the 0-latency
-    /// run.
+    /// Cut-channel resume-notice latency, µs
+    /// (`EngineConfig::resume_latency`). Must be positive when
+    /// `regions > 1`; ignored at `regions = 1`.
     pub resume_latency: SimTime,
     /// Which sink the engine's event/metrics bus feeds
     /// (`streamflow::bus`). `Null` (the default) disables the bus;
@@ -377,7 +377,7 @@ impl ScenarioSpec {
     /// Execute the spec on the thread-per-region parallel executor
     /// ([`streamflow::run_parallel`]) and return the merged report plus
     /// the wall-clock seconds the execution took. When the spec is not in
-    /// PDES mode (`resume_latency == 0` or one region) this is the
+    /// PDES mode (one region) this is the
     /// sequential engine on the calling thread; either way the report's
     /// digest obeys the *parallel == sequential at the same config*
     /// contract. Scale plans are rejected by the engine in PDES mode, so
@@ -427,11 +427,7 @@ mod tests {
         let spec = steady().with_resume_latency(100);
         assert_eq!(spec.resume_latency, 100);
         assert_eq!(spec.engine_config().resume_latency, 100);
-        assert_eq!(
-            steady().engine_config().resume_latency,
-            0,
-            "merged-exact default"
-        );
+        assert_eq!(steady().engine_config().resume_latency, 0, "PDES is opt-in");
     }
 
     #[test]

@@ -62,15 +62,6 @@ pub struct RunReport {
     /// Events dispatched per scheduler region (one entry per region;
     /// `[events]` for a single-region run).
     pub region_events: Vec<u64>,
-    /// Region-scheduler dispatched runs (one pop = a run of one).
-    pub sync_runs: u64,
-    /// Runs whose same-instant events spanned regions and were merged.
-    pub merged_runs: u64,
-    /// Advances granted by the global-minimum rule alone (would have
-    /// blocked under pure neighbor-clock + lookahead CMB).
-    pub min_rule_grants: u64,
-    /// Null messages a message-passing CMB runtime would have needed.
-    pub null_msgs: u64,
     /// Bus events accepted for publication (0 under the `Null` sink).
     pub bus_published: u64,
     /// Bus events evicted by `DropOldest` channels (deterministic).
@@ -119,7 +110,6 @@ impl RunReport {
         let region_events = (0..w.region_map.k())
             .map(|r| w.q.region_processed(r))
             .collect();
-        let sync = w.q.region_sync_stats();
         let bus = w.bus.summary();
         Self {
             scenario: spec.name.clone(),
@@ -148,10 +138,6 @@ impl RunReport {
             churn_avg,
             churn_max,
             region_events,
-            sync_runs: sync.runs,
-            merged_runs: sync.merged_runs,
-            min_rule_grants: sync.min_rule_grants,
-            null_msgs: sync.null_msgs,
             bus_published: bus.published,
             bus_dropped: bus.dropped,
             bus_lag_max: bus.lag_max,
@@ -255,10 +241,6 @@ impl RunReport {
         let _ = writeln!(s, "{i}  \"churn_avg\": {:?},", self.churn_avg);
         let _ = writeln!(s, "{i}  \"churn_max\": {},", self.churn_max);
         let _ = writeln!(s, "{i}  \"region_events\": {},", ints(&self.region_events));
-        let _ = writeln!(s, "{i}  \"sync_runs\": {},", self.sync_runs);
-        let _ = writeln!(s, "{i}  \"merged_runs\": {},", self.merged_runs);
-        let _ = writeln!(s, "{i}  \"min_rule_grants\": {},", self.min_rule_grants);
-        let _ = writeln!(s, "{i}  \"null_msgs\": {},", self.null_msgs);
         let _ = writeln!(s, "{i}  \"bus_published\": {},", self.bus_published);
         let _ = writeln!(s, "{i}  \"bus_dropped\": {},", self.bus_dropped);
         let _ = writeln!(s, "{i}  \"bus_lag_max\": {},", self.bus_lag_max);
@@ -336,10 +318,6 @@ impl RunReport {
             churn_max: num_u64("churn_max")? as u32,
             region_events: parse_ints(get("region_events")?)
                 .map_err(|e| format!("region_events: {e}"))?,
-            sync_runs: num_u64("sync_runs")?,
-            merged_runs: num_u64("merged_runs")?,
-            min_rule_grants: num_u64("min_rule_grants")?,
-            null_msgs: num_u64("null_msgs")?,
             bus_published: num_u64("bus_published")?,
             bus_dropped: num_u64("bus_dropped")?,
             bus_lag_max: num_u64("bus_lag_max")?,
@@ -452,10 +430,6 @@ mod tests {
             churn_avg: 1.0,
             churn_max: 1,
             region_events: vec![100_000, 23_456],
-            sync_runs: 4_000,
-            merged_runs: 17,
-            min_rule_grants: 3,
-            null_msgs: 9,
             bus_published: 1_234,
             bus_dropped: 56,
             bus_lag_max: 64,

@@ -4,8 +4,8 @@
 //! Until now every metric left the engine *after* the run, scraped out of
 //! `RunReport`. The bus is the in-flight observation layer: the world
 //! publishes typed events (per-instance metrics ticks, scale-plan
-//! decisions, checkpoint lifecycle, backpressure transitions, sync-stats
-//! epochs) as they happen, and a configured sink consumes them — without
+//! decisions, checkpoint lifecycle, backpressure transitions, parallel
+//! epoch accounting) as they happen, and a configured sink consumes them — without
 //! perturbing a single digest bit.
 //!
 //! # Event classes, capacities and drop rules
@@ -21,7 +21,7 @@
 //! | [`BusClass::Scale`] | a handful per rescale | 16 | block |
 //! | [`BusClass::Checkpoint`] | two per checkpoint | 16 | block |
 //! | [`BusClass::Backpressure`] | bursty (block/resume transitions) | 128 | drop-oldest |
-//! | [`BusClass::Sync`] | one per sample / parallel epoch | 32 | block |
+//! | [`BusClass::Sync`] | one per 64 parallel epochs per worker | 32 | block |
 //!
 //! **Block** means must-deliver: when the channel is full the producer
 //! "blocks" by synchronously draining the class to the sink before
@@ -115,8 +115,7 @@ pub enum BusClass {
     Checkpoint,
     /// Backpressure transitions (sender blocked / resumed).
     Backpressure,
-    /// Synchronization accounting epochs (region scheduler / parallel
-    /// executor).
+    /// Epoch accounting of the thread-per-region executor.
     Sync,
 }
 
@@ -236,19 +235,18 @@ pub enum BusEventKind {
         /// The resumed sender instance.
         inst: u32,
     },
-    /// Synchronization accounting. Sequential multi-region runs publish
-    /// the cumulative region-scheduler `SyncStats` at each sample drain;
-    /// the thread-per-region executor publishes per-worker cumulative
-    /// counters at each epoch end (`merged` = cross messages shipped,
-    /// `grants` = busy epochs).
+    /// Epoch accounting of one thread-per-region worker
+    /// (`engine::parallel`), cumulative, sampled every few epochs and once
+    /// more at the horizon. Only the parallel executor publishes it.
     SyncEpoch {
-        /// Barrier rounds (parallel) or dispatched runs (sequential).
+        /// Barrier rounds so far.
         epochs: u64,
-        /// Events dispatched so far.
+        /// Events this worker's region dispatched so far.
         dispatched: u64,
-        /// Merged runs (sequential) / cross messages shipped (parallel).
+        /// Cross-region messages this worker shipped so far (ring plus
+        /// overflow).
         merged: u64,
-        /// Min-rule grants (sequential) / busy epochs (parallel).
+        /// Epochs in which this worker dispatched at least one event.
         grants: u64,
     },
 }
@@ -826,7 +824,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_folds_region_logs_in_region_major_order() {
+    fn merge_folds_region_logs_in_at_then_region_order() {
         let e = |at, region| BusEvent {
             at,
             region,

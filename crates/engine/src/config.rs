@@ -57,29 +57,23 @@ pub struct EngineConfig {
     /// this); the calendar queue is the fast default, the binary heap the
     /// A/B reference.
     pub scheduler: SchedulerBackend,
-    /// Number of scheduler regions for conservative region-partitioned
-    /// PDES (see `simcore::region`). 1 (the default) is the plain
-    /// single-queue sequential engine — the reference every region count
-    /// is digest-verified against. Behavior-neutral by contract: any
-    /// region count pops the identical `(at, seq)` event order, so this
-    /// knob is purely a performance axis like `scheduler`.
+    /// Number of scheduler regions. 1 (the default) is the plain
+    /// single-queue sequential engine. More than one region is PDES mode
+    /// and requires `resume_latency > 0` (the world builder asserts it):
+    /// the operator graph is partitioned into regions, same-instant
+    /// events pop region-major (see `simcore::region`), and the run may
+    /// execute thread-per-region (`engine::parallel`). A region count is
+    /// therefore *not* digest-neutral: the contract is *parallel digest
+    /// == sequential PDES digest at the same `regions` and
+    /// `resume_latency`*.
     pub regions: usize,
-    /// Latency of a sender-resume notice crossing a region cut, µs. This
-    /// is the PDES mode switch:
-    ///
-    /// * `0` (the default) — the engine keeps the merged-exact sequential
-    ///   loop: receiver-side `pump()` wakes blocked senders synchronously
-    ///   (a zero-lookahead reverse edge), every existing digest is
-    ///   byte-identical to the `regions = 1` reference, and the
-    ///   thread-per-region executor falls back to that sequential loop.
-    /// * `> 0` with `regions > 1` — cut channels switch to a latency-
-    ///   bearing credit protocol (credits return to the sender's region as
-    ///   `CutCredit` events after this delay, as resume notices do in a
-    ///   real deployment), reverse cut edges gain this much lookahead, and
-    ///   regions may genuinely execute concurrently. Exactness is then
-    ///   *parallel digest == sequential digest at the same
-    ///   `resume_latency`* — a new semantic point, not the
-    ///   `resume_latency = 0` timeline.
+    /// Latency of a sender-resume notice crossing a region cut, µs. In
+    /// PDES mode (`regions > 1`) cut channels use a latency-bearing
+    /// credit protocol: credits return to the sender's region as
+    /// `CutCredit` events after this delay, as resume notices do in a
+    /// real deployment, and reverse cut edges gain this much lookahead.
+    /// Must be positive when `regions > 1`; ignored at `regions = 1`,
+    /// where receiver-side `pump()` wakes blocked senders synchronously.
     pub resume_latency: SimTime,
     /// RNG seed for the run.
     pub seed: u64,
@@ -155,10 +149,7 @@ mod tests {
         assert!(c.quantum_records > 0);
         assert!(c.sub_group_fanout >= 1);
         assert_eq!(c.regions, 1, "the sequential engine is the default");
-        assert_eq!(
-            c.resume_latency, 0,
-            "PDES mode is opt-in; 0 preserves the merged-exact timeline"
-        );
+        assert_eq!(c.resume_latency, 0, "PDES mode is opt-in");
         assert_eq!(
             c.bus_sink,
             BusSinkKind::Null,

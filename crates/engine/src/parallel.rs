@@ -48,9 +48,9 @@
 //! `resume_latency`. Proptests in the workspace root enforce this across
 //! random graphs, region counts and dispatch modes.
 //!
-//! When the factory's world is not in PDES mode (`resume_latency == 0` or
-//! a single region), the executor falls back to the plain sequential
-//! `run_until` — byte-identical to every pre-existing digest.
+//! When the factory's world has a single region, the executor falls back
+//! to the plain sequential `run_until` — byte-identical to every
+//! pre-existing digest.
 
 use simcore::sync::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -310,16 +310,15 @@ fn drive(
 /// `factory` must build a fresh, identical simulation each call (same
 /// config, same seed, same graph): each worker thread constructs its own
 /// replica, so nothing in the simulation needs to be `Send`. When the
-/// built world is not in PDES mode (`resume_latency == 0` or fewer than
-/// two regions) the probe replica simply runs `run_until(horizon)`
-/// sequentially on the calling thread.
+/// built world has fewer than two regions the probe replica simply runs
+/// `run_until(horizon)` sequentially on the calling thread.
 pub fn run_parallel<F>(factory: F, horizon: SimTime) -> ParallelReport
 where
     F: Fn() -> Sim + Sync,
 {
     let mut probe = factory();
     let k = probe.world.region_map.k();
-    if !probe.world.pdes() || k < 2 {
+    if k < 2 {
         probe.run_until(horizon);
         let per_region_events = (0..k.max(1))
             .map(|r| probe.world.q.region_processed(r))
@@ -532,9 +531,9 @@ mod tests {
     }
 
     #[test]
-    fn zero_resume_latency_falls_back_to_the_sequential_engine() {
+    fn single_region_falls_back_to_the_sequential_engine() {
         let factory = || {
-            let (w, _) = tiny_job(cfg(2, 0), 20_000.0, 256, 4);
+            let (w, _) = tiny_job(cfg(1, 100), 20_000.0, 256, 4);
             Sim::new(w, Box::new(NoScale))
         };
         let mut seq = factory();

@@ -3,8 +3,8 @@
 //! [`RegionMap`] assigns every operator (and therefore every instance —
 //! instances inherit their operator's region, including instances created
 //! later by scale-out) to one of `k` scheduler regions, and derives the
-//! conservative lookahead matrix the region scheduler's
-//! Chandy–Misra–Bryant accounting runs on (see `simcore::region`).
+//! conservative lookahead matrix the thread-per-region executor's epoch
+//! caps run on (see `engine::parallel`).
 //!
 //! # Partitioning
 //!
@@ -42,13 +42,8 @@
 //!   region; rerouted-record and confirm traffic follows predecessor
 //!   edges), so any edge `a → b` also caps the entry at `ctrl_latency`,
 //! * a cut channel `a → b` bounds the **reverse** entry `b → a` by the
-//!   engine's `resume_latency`: at 0 (the default) the receiver's `pump`
-//!   wakes a backpressure-blocked sender with a zero-delay `Ev::Wake` —
-//!   the zero-lookahead feedback loop that forces the merged-exact
-//!   scheduler design (see `simcore::region`). At `resume_latency > 0`
-//!   credit returns cross the cut as latency-bearing `CutCredit` events,
-//!   the reverse edge gains that much lookahead, and thread-per-region
-//!   execution (`engine::parallel`) becomes possible.
+//!   engine's `resume_latency`: credit returns cross the cut as
+//!   latency-bearing `CutCredit` events.
 //!
 //! Pairs with no connecting edge keep `SimTime::MAX` — fully independent
 //! pipelines never constrain each other.
@@ -137,15 +132,14 @@ impl RegionMap {
             lookahead: Vec::new(),
             cut_channels: 0,
         };
-        map.rebuild_lookahead(edges, chans, ctrl_latency, resume_latency);
+        map.build_lookahead(edges, chans, ctrl_latency, resume_latency);
         map
     }
 
-    /// Recompute the lookahead matrix and cut-channel count from the
-    /// current channel set (build time, and again after scale-out wires
-    /// new channels — new channels between already-connected region pairs
-    /// cannot loosen the matrix, but this keeps the cut count honest).
-    pub fn rebuild_lookahead(
+    /// Derive the lookahead matrix and cut-channel count from the channel
+    /// set. Build time only: PDES mode rejects scaling, so the channel
+    /// set never changes afterwards.
+    fn build_lookahead(
         &mut self,
         edges: &[EdgeRt],
         chans: &[Channel],
@@ -170,9 +164,8 @@ impl RegionMap {
             if a != b {
                 cut += 1;
                 la[a * k + b] = la[a * k + b].min(c.latency);
-                // Reverse edge: at resume_latency 0, pump() wakes a
-                // blocked sender at delay 0; at > 0 the credit-return
-                // CutCredit is the earliest reverse event.
+                // Reverse edge: the credit-return CutCredit is the
+                // earliest reverse event.
                 la[b * k + a] = la[b * k + a].min(resume_latency);
             }
         }
@@ -403,29 +396,13 @@ mod tests {
     }
 
     #[test]
-    fn lookahead_matrix_has_forward_latency_and_zero_reverse() {
+    fn lookahead_matrix_has_forward_latency_and_resume_reverse() {
         let w = pipeline_world(2);
-        let m = RegionMap::compute(2, &w.ops, &w.edges, &w.chans, w.insts.len(), 50, 0);
-        let k = m.k();
-        let la = m.lookahead();
-        // Find the cut pair (a upstream of b).
-        let mut seen_cut = false;
-        for a in 0..k {
-            for b in 0..k {
-                if a == b {
-                    assert_eq!(la[a * k + b], 0);
-                    continue;
-                }
-                if la[a * k + b] != SimTime::MAX && la[a * k + b] > 0 {
-                    // Forward: capped by ctrl_latency (50 < net 200).
-                    assert_eq!(la[a * k + b], 50);
-                    // Reverse: the zero-delay wake path.
-                    assert_eq!(la[b * k + a], 0);
-                    seen_cut = true;
-                }
-            }
-        }
-        assert!(seen_cut, "a 2-region pipeline must have a cut pair");
+        let m = RegionMap::compute(2, &w.ops, &w.edges, &w.chans, w.insts.len(), 50, 30);
+        assert_eq!(m.k(), 2);
+        // Region 0 is upstream. Forward: capped by ctrl_latency (50 < net
+        // 200). Reverse: the credit-return resume latency.
+        assert_eq!(m.lookahead(), &[0, 50, 30, 0]);
     }
 
     #[test]

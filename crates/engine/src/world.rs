@@ -59,7 +59,7 @@ use crate::state::{StateBackend, StateUnit};
 pub const CROSS_BIT: u64 = 1 << 63;
 
 /// How region-crossing deliveries travel in PDES mode
-/// (`resume_latency > 0`, `regions > 1`).
+/// (`regions > 1`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CrossMode {
     /// Push cross events straight into this world's own (multi-region)
@@ -131,10 +131,9 @@ pub struct World {
     /// Run metrics.
     pub metrics: Metrics,
     /// Operator/instance → scheduler-region assignment plus the lookahead
-    /// matrix (trivial when `cfg.regions <= 1`). Region tags steer which
-    /// per-region queue stores an event — never its pop order, which is
-    /// the global `(at, seq)` total order for any region count (see
-    /// `simcore::region`).
+    /// matrix (trivial when `cfg.regions <= 1`). Region tags pick which
+    /// per-region queue stores an event; at one instant a lower region
+    /// pops first (see `simcore::region`).
     pub region_map: crate::region::RegionMap,
     /// Per-key order checker (enabled via config).
     pub semantics: SemanticsChecker,
@@ -152,11 +151,6 @@ pub struct World {
     /// Suspension series tracks instances of this op (set at scale time;
     /// defaults to all Transform ops).
     suspension_op: Option<OpId>,
-    /// Is PDES mode active (`resume_latency > 0` and more than one
-    /// region)? Frozen at build time. When false, nothing in the
-    /// cut-channel credit machinery runs and every digest is byte-for-byte
-    /// the merged-exact sequential timeline.
-    pdes: bool,
     /// Where region-crossing events go in PDES mode (see [`CrossMode`]).
     cross_mode: CrossMode,
     /// Per ordered region pair `(src, dst)` counters minting cross-event
@@ -167,7 +161,7 @@ pub struct World {
     /// Per-region RNG stripes for PDES mode: region-local draws (latency
     /// marker keys) must not share one global stream, or the draw order
     /// would depend on cross-region interleaving. Seeded from `cfg.seed`
-    /// per region; unused when `pdes` is false.
+    /// per region; unused outside PDES mode.
     rngs: Vec<DetRng>,
     /// Staged outgoing cross messages (only in [`CrossMode::Outbox`]).
     outbox: Vec<CrossMsg>,
@@ -309,7 +303,14 @@ impl World {
 
         // Partition the operator graph into scheduler regions (trivial for
         // the default regions=1) before the event list exists — source
-        // ticks below are already tagged.
+        // ticks below are already tagged. More than one region means PDES
+        // mode, which needs the reverse-edge lookahead `resume_latency`
+        // provides.
+        assert!(
+            cfg.regions <= 1 || cfg.resume_latency > 0,
+            "regions > 1 needs resume_latency > 0: a multi-region run is a \
+             PDES run, and cut channels return credits after resume_latency"
+        );
         let region_map = if cfg.regions > 1 {
             crate::region::RegionMap::compute(
                 cfg.regions,
@@ -324,16 +325,15 @@ impl World {
             crate::region::RegionMap::single(ops.len(), insts.len())
         };
 
-        // PDES mode: nonzero resume latency with a real partition. Cut
-        // channels switch to the sender-owned credit protocol, same-instant
-        // pop order becomes region-major, and randomness is striped per
-        // region — all chosen so the sequential PDES engine and the
-        // thread-per-region replicas produce identical digests.
-        let pdes = cfg.resume_latency > 0 && region_map.k() > 1;
-        if pdes {
+        // PDES mode: a real partition. Cut channels switch to the
+        // sender-owned credit protocol, same-instant pop order is
+        // region-major, and randomness is striped per region — all chosen
+        // so the sequential PDES engine and the thread-per-region replicas
+        // produce identical digests.
+        if region_map.k() > 1 {
             assert!(
                 cfg.checkpoint_interval.is_none(),
-                "PDES mode (resume_latency > 0, regions > 1) does not support \
+                "PDES mode (regions > 1) does not support \
                  periodic checkpointing: barrier alignment across cut channels \
                  is not wired into the credit protocol yet"
             );
@@ -347,18 +347,12 @@ impl World {
         // Pre-size the future-event list: in steady state it holds at most
         // a few events per instance (ticks, quanta) plus in-flight elements
         // bounded by per-channel credits. The backend comes from config;
-        // both pop identical sequences, so this is a pure perf knob — and
-        // so is the region count (any partitioning pops the identical
-        // global `(at, seq)` order).
+        // both pop identical sequences, so this is a pure perf knob.
         let mut q = EventQueue::with_backend_regions(
             cfg.scheduler,
             insts.len() * 8 + chans.len() * 4 + 64,
             region_map.k(),
         );
-        q.set_region_lookahead(region_map.lookahead());
-        if pdes {
-            q.set_region_major(true);
-        }
         // Arm source ticks (jittered so they do not all fire in lockstep).
         for inst in insts.iter() {
             if inst.source.is_some() {
@@ -402,7 +396,6 @@ impl World {
             run_buf_pool: Vec::new(),
             next_ckpt: 0,
             suspension_op: None,
-            pdes,
             cross_mode: CrossMode::Inline,
             cross_seq: vec![0; k * k],
             rngs,
@@ -412,11 +405,10 @@ impl World {
         }
     }
 
-    /// Is PDES mode active (`resume_latency > 0` and more than one
-    /// region)?
+    /// Is PDES mode active (more than one region)?
     #[inline]
     pub fn pdes(&self) -> bool {
-        self.pdes
+        self.region_map.k() > 1
     }
 
     /// Select where region-crossing events go (PDES mode only — see
@@ -424,7 +416,7 @@ impl World {
     /// to [`CrossMode::Outbox`] before running.
     pub fn set_cross_mode(&mut self, mode: CrossMode) {
         debug_assert!(
-            self.pdes || mode == CrossMode::Inline,
+            self.pdes() || mode == CrossMode::Inline,
             "cross mode is meaningless outside PDES mode"
         );
         self.cross_mode = mode;
@@ -575,7 +567,7 @@ impl World {
     /// consumption — and only its handle moves through backlog, wire and
     /// receiver queue.
     pub fn send(&mut self, ch: ChannelId, elem: StreamElement) {
-        if self.pdes && self.chans[ch.0 as usize].cut {
+        if self.chans[ch.0 as usize].cut {
             self.send_cut(ch, elem);
             return;
         }
@@ -621,7 +613,7 @@ impl World {
     /// either way.
     pub fn send_uncredited(&mut self, ch: ChannelId, elem: StreamElement) {
         let r = self.arena.insert(elem);
-        if self.pdes && self.chans[ch.0 as usize].cut {
+        if self.chans[ch.0 as usize].cut {
             self.cross_deliver_ref(ch, r);
             return;
         }
@@ -826,7 +818,7 @@ impl World {
     /// synchronous `pump` runs as before.
     #[inline]
     fn after_chan_pop(&mut self, ch: ChannelId) {
-        if self.pdes && self.chans[ch.0 as usize].cut {
+        if self.chans[ch.0 as usize].cut {
             self.return_cut_credit(ch);
         } else {
             self.pump(ch);
@@ -1448,9 +1440,9 @@ impl World {
 
     fn start_scale(&mut self, mut plan: ScalePlan) {
         assert!(
-            !self.pdes,
+            !self.pdes(),
             "scaling operations are not supported in PDES mode \
-             (resume_latency > 0, regions > 1): migration links and \
+             (regions > 1): migration links and \
              re-routing cross regions without credit/lookahead accounting"
         );
         // Concurrent scaling requests (paper §IV-B scenario 1): the newer
@@ -1559,20 +1551,8 @@ impl World {
         // cached predecessor lists must see the new instances.
         self.refresh_pred_caches_after(op);
 
-        // Scale-out instances inherit their operator's scheduler region,
-        // and the freshly wired channels fold into the lookahead matrix
-        // (they connect already-linked region pairs, so the matrix can
-        // only stay equal — but the cut-channel count must stay honest).
+        // Scale-out instances inherit their operator's scheduler region.
         self.region_map.extend_for_new_instances(&self.insts);
-        if self.region_map.k() > 1 {
-            self.region_map.rebuild_lookahead(
-                &self.edges,
-                &self.chans,
-                self.cfg.ctrl_latency,
-                self.cfg.resume_latency,
-            );
-            self.q.set_region_lookahead(self.region_map.lookahead());
-        }
 
         // Compute the moves with the uniform re-partitioning strategy.
         let base = self
@@ -1656,19 +1636,6 @@ impl World {
                 };
                 self.bus.publish(now, reg, tick);
             }
-            // Sequential multi-region runs surface the region scheduler's
-            // cumulative sync accounting here; the parallel executor
-            // publishes its own per-epoch `SyncEpoch` events instead.
-            if self.region_map.k() > 1 && !outbox {
-                let s = self.q.region_sync_stats();
-                let ev = BusEventKind::SyncEpoch {
-                    epochs: s.runs,
-                    dispatched: self.q.processed(),
-                    merged: s.merged_runs,
-                    grants: s.min_rule_grants,
-                };
-                self.bus.publish(now, 0, ev);
-            }
         }
         self.bus.on_sample();
         let iv = self.cfg.sample_interval;
@@ -1717,7 +1684,7 @@ impl World {
         const TICK: SimTime = 10_000; // 10 ms generation granularity
         let now = self.now();
         let reg = self.reg(inst);
-        let pdes = self.pdes;
+        let pdes = self.pdes();
         {
             let i = &mut self.insts[inst.0 as usize];
             let src = i.source.as_mut().expect("source tick on non-source");
@@ -2918,39 +2885,12 @@ mod tests {
     }
 
     #[test]
-    fn region_counts_produce_identical_digests() {
-        // The region count is a pure perf knob like the backend and the
-        // dispatch mode: any partitioning must pop the identical global
-        // (at, seq) order. A mid-run rescale exercises scale-out region
-        // inheritance and the lookahead refresh.
-        let digest = |regions: usize, mode: DispatchMode| {
-            let mut cfg = EngineConfig::test();
-            cfg.seed = 0x7E91;
-            cfg.regions = regions;
-            let (mut w, agg) = tiny_job(cfg, 8_000.0, 256, 2);
-            w.schedule_scale(secs(1), agg, 4);
-            let mut sim = Sim::new(w, Box::new(NoScale)).with_dispatch_mode(mode);
-            sim.run_until(secs(4));
-            (sim.world.metrics_digest(), sim.world.q.processed())
-        };
-        let reference = digest(1, DispatchMode::SinglePop);
-        for regions in [1usize, 2, 3] {
-            for mode in [DispatchMode::SinglePop, DispatchMode::Batch] {
-                assert_eq!(
-                    digest(regions, mode),
-                    reference,
-                    "regions={regions} mode={mode:?} diverged from the sequential engine"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn disjoint_pipelines_have_no_cut_and_identical_digests() {
         let digest = |regions: usize| {
             let mut cfg = EngineConfig::test();
             cfg.seed = 0x2F2F;
             cfg.regions = regions;
+            cfg.resume_latency = 100;
             let w = twin_jobs(cfg, 4_000.0, 128, 2, 2);
             if regions == 2 {
                 assert_eq!(
@@ -2967,23 +2907,11 @@ mod tests {
     }
 
     #[test]
-    fn region_sync_stats_account_conservative_progress() {
+    #[should_panic(expected = "regions > 1 needs resume_latency > 0")]
+    fn multiple_regions_without_resume_latency_are_rejected() {
         let mut cfg = EngineConfig::test();
         cfg.regions = 2;
-        let (w, _) = tiny_job(cfg, 4_000.0, 128, 2);
-        let mut sim = Sim::new(w, Box::new(NoScale));
-        sim.run_until(secs(2));
-        let stats = sim.world.q.region_sync_stats();
-        assert!(stats.runs > 0, "no runs were accounted");
-        // A cut pipeline has zero-lookahead reverse edges, so some pops
-        // must have needed the global-minimum rule (the lockstep the
-        // merged scheduler collapses — see simcore::region docs).
-        assert!(
-            stats.min_rule_grants > 0,
-            "a cut pipeline cannot advance on lookahead alone"
-        );
-        // Both regions made progress.
-        assert!(sim.world.q.region_clock(0) > 0);
-        assert!(sim.world.q.region_clock(1) > 0);
+        cfg.resume_latency = 0;
+        let _ = tiny_job(cfg, 4_000.0, 128, 2);
     }
 }

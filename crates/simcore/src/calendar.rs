@@ -348,46 +348,6 @@ impl<E> CalendarQueue<E> {
         self.position_cursor()
     }
 
-    /// `(at, seq)` key of the earliest pending event — the region
-    /// scheduler's merge key. Same cursor-advancing caveat as
-    /// [`peek_time`](Self::peek_time); after
-    /// [`position_cursor`](Self::position_cursor) returns, the current
-    /// day's bucket is sorted and its front is the proven global minimum,
-    /// so the key is one front read.
-    pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        self.position_cursor()?;
-        let b = (self.cur_day & self.mask) as usize;
-        self.buckets[b].q.front().map(|e| (e.at, e.seq))
-    }
-
-    /// Like [`pop_run_at_most`](Self::pop_run_at_most) but appends whole
-    /// `(at, seq, event)` entries instead of bare payloads. The region
-    /// scheduler drains same-instant runs from several per-region queues
-    /// and needs the `seq` keys to merge them back into the global FIFO
-    /// order.
-    pub fn pop_run_keyed_at_most(
-        &mut self,
-        t: SimTime,
-        out: &mut Vec<Scheduled<E>>,
-    ) -> Option<(SimTime, usize)> {
-        let at = self.position_cursor()?;
-        if at > t {
-            return None;
-        }
-        let b = (self.cur_day & self.mask) as usize;
-        let bucket = &mut self.buckets[b];
-        let mut n = 0usize;
-        while bucket.q.front().is_some_and(|e| e.at == at) {
-            out.push(bucket.q.pop_front().expect("checked front"));
-            n += 1;
-        }
-        debug_assert!(n > 0, "positioned cursor must yield at least one event");
-        self.in_buckets -= n;
-        self.ops_since_resize += n as u64;
-        self.maybe_decay_peak();
-        Some((at, n))
-    }
-
     /// Advance the cursor until the current day's bucket front is the
     /// global minimum, migrating overflow events whose day has entered the
     /// rolling window. Returns the minimum's timestamp, or `None` if the

@@ -31,7 +31,7 @@ pub mod time;
 pub use calendar::CalendarQueue;
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use queue::{EventQueue, FutureEventList, SchedulerBackend};
-pub use region::{RegionScheduler, SyncStats};
+pub use region::RegionScheduler;
 pub use rng::{DetRng, Zipf};
 pub use slab::{Slab, SlabRef};
 pub use stats::{Histogram, Summary, TimeSeries};

@@ -99,8 +99,7 @@ impl SchedulerBackend {
 /// mechanics with none of the list's shell state (clock, sequence minting,
 /// past-clamp, processed counter). Extracted so the region scheduler
 /// ([`RegionScheduler`](crate::region::RegionScheduler)) can own one queue
-/// *per region* while a single shell keeps minting globally-unique
-/// `(at, seq)` keys across all of them.
+/// *per region* while a single shell keeps the clock and the `seq` mint.
 pub(crate) enum BackendQueue<E> {
     Heap(BinaryHeap<Reverse<Scheduled<E>>>),
     Calendar(CalendarQueue<E>),
@@ -179,44 +178,6 @@ impl<E> BackendQueue<E> {
         }
     }
 
-    /// Like [`pop_run_at_most`](Self::pop_run_at_most) but keeps each
-    /// entry's `(at, seq)` key — the region scheduler needs the keys to
-    /// merge same-instant runs drained from different regions back into
-    /// the global FIFO order.
-    pub(crate) fn pop_run_keyed_at_most(
-        &mut self,
-        t: SimTime,
-        out: &mut Vec<Scheduled<E>>,
-    ) -> Option<(SimTime, usize)> {
-        match self {
-            Self::Heap(h) => {
-                if h.peek().is_none_or(|Reverse(s)| s.at > t) {
-                    return None;
-                }
-                let Reverse(first) = h.pop().expect("peeked");
-                let at = first.at;
-                let start = out.len();
-                out.push(first);
-                while h.peek().is_some_and(|Reverse(s)| s.at == at) {
-                    let Reverse(s) = h.pop().expect("peeked");
-                    out.push(s);
-                }
-                Some((at, out.len() - start))
-            }
-            Self::Calendar(c) => c.pop_run_keyed_at_most(t, out),
-        }
-    }
-
-    /// The `(at, seq)` key of the earliest pending entry. `&mut self` for
-    /// the same reason as [`FutureEventList::peek_time`]: the calendar
-    /// backend positions its scan cursor while peeking.
-    pub(crate) fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        match self {
-            Self::Heap(h) => h.peek().map(|Reverse(s)| (s.at, s.seq)),
-            Self::Calendar(c) => c.peek_key(),
-        }
-    }
-
     pub(crate) fn peek_time(&mut self) -> Option<SimTime> {
         match self {
             Self::Heap(h) => h.peek().map(|Reverse(s)| s.at),
@@ -238,8 +199,8 @@ pub struct FutureEventList<E> {
     processed: u64,
 }
 
-/// The list's storage: one backend queue, or one per region merged under
-/// the shared `(at, seq)` total order (see [`crate::region`]).
+/// The list's storage: one backend queue, or one per region popped in
+/// region-major order (see [`crate::region`]).
 enum Lists<E> {
     Single(BackendQueue<E>),
     Regions(RegionScheduler<E>),
@@ -281,20 +242,13 @@ impl<E> FutureEventList<E> {
     }
 
     /// Create an empty list whose pending set is partitioned into
-    /// `regions` per-region queues merged under the list's global
-    /// `(at, seq)` order (conservative region-partitioned PDES; see
-    /// [`crate::region`]). `regions <= 1` degrades to the plain
-    /// single-queue list — same type, zero overhead. Events are assigned
-    /// to regions via [`schedule_tagged`](Self::schedule_tagged) /
+    /// `regions` per-region queues popped in region-major
+    /// `(at, region, seq)` order (see [`crate::region`]). `regions <= 1`
+    /// degrades to the plain single-queue list — same type, zero
+    /// overhead. Events are assigned to regions via
+    /// [`schedule_tagged`](Self::schedule_tagged) /
     /// [`schedule_at_tagged`](Self::schedule_at_tagged); the untagged
     /// `schedule` / `schedule_at` land in region 0.
-    ///
-    /// The popped `(time, event)` sequence is byte-identical to a
-    /// single-queue list fed the same schedule calls **for every region
-    /// assignment**: the merge compares globally-unique `(at, seq)` keys,
-    /// so region tagging is purely a performance decision (smaller
-    /// per-region populations, per-region calendar geometry), never a
-    /// semantic one.
     pub fn with_backend_regions(kind: SchedulerBackend, cap: usize, regions: usize) -> Self {
         if regions <= 1 {
             return Self::with_backend(kind, cap);
@@ -367,8 +321,7 @@ impl<E> FutureEventList<E> {
 
     /// Schedule `event` `delay` after the current time, assigning it to
     /// `region` (ignored on a single-queue list; clamped to the last
-    /// region otherwise). Region assignment never affects pop order —
-    /// only which per-region queue stores the event.
+    /// region otherwise). At one instant, a lower region pops first.
     #[inline]
     pub fn schedule_tagged(&mut self, region: usize, delay: SimTime, event: E) {
         self.schedule_at_tagged(region, self.now.saturating_add(delay), event);
@@ -498,61 +451,6 @@ impl<E> FutureEventList<E> {
         }
     }
 
-    // -----------------------------------------------------------------
-    // Region introspection (conservative-PDES accounting; see
-    // `crate::region`). All of these are trivial on a single-queue list.
-    // -----------------------------------------------------------------
-
-    /// Install the region lookahead matrix (row-major `k × k`;
-    /// `la[from][to]` = minimum latency of any event a `from`-region
-    /// handler can schedule into `to`). No-op on a single-queue list.
-    pub fn set_region_lookahead(&mut self, la: &[SimTime]) {
-        if let Lists::Regions(r) = &mut self.lists {
-            r.set_lookahead(la);
-        }
-    }
-
-    /// The local clock of `region`: the timestamp of the last event popped
-    /// from it (0 before the first pop). A single-queue list reports the
-    /// global clock.
-    pub fn region_clock(&self, region: usize) -> SimTime {
-        match &self.lists {
-            Lists::Single(_) => self.now,
-            Lists::Regions(r) => r.clock(region),
-        }
-    }
-
-    /// The conservative bound `region` may advance to on neighbor clocks +
-    /// lookahead alone (Chandy–Misra–Bryant). `SimTime::MAX` on a
-    /// single-queue list.
-    pub fn region_safe_until(&self, region: usize) -> SimTime {
-        match &self.lists {
-            Lists::Single(_) => SimTime::MAX,
-            Lists::Regions(r) => r.safe_until(region),
-        }
-    }
-
-    /// Which regions may dispatch their head event right now (lookahead
-    /// grant, or the global-minimum rule — see
-    /// [`RegionScheduler::grants`]). A single-queue list grants region 0
-    /// whenever non-empty.
-    pub fn region_grants(&mut self, out: &mut Vec<bool>) {
-        out.clear();
-        match &mut self.lists {
-            Lists::Single(b) => out.push(b.len() > 0),
-            Lists::Regions(r) => r.grants(out),
-        }
-    }
-
-    /// Conservative-sync accounting counters (zeroes on a single-queue
-    /// list).
-    pub fn region_sync_stats(&self) -> crate::region::SyncStats {
-        match &self.lists {
-            Lists::Single(_) => crate::region::SyncStats::default(),
-            Lists::Regions(r) => r.sync_stats(),
-        }
-    }
-
     /// Events popped out of `region` so far. A single-queue list attributes
     /// everything to region 0.
     pub fn region_processed(&self, region: usize) -> u64 {
@@ -565,15 +463,6 @@ impl<E> FutureEventList<E> {
                 }
             }
             Lists::Regions(r) => r.region_pops(region),
-        }
-    }
-
-    /// Enable region-major same-instant ordering (see
-    /// [`RegionScheduler::set_region_major`]). No-op on a single-queue
-    /// list.
-    pub fn set_region_major(&mut self, on: bool) {
-        if let Lists::Regions(r) = &mut self.lists {
-            r.set_region_major(on);
         }
     }
 

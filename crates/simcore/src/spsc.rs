@@ -1,15 +1,10 @@
 //! Bounded single-producer single-consumer ring — the cross-region event
 //! transport.
 //!
-//! A [`RegionScheduler`](crate::region::RegionScheduler) pair that ran on
-//! two real threads would exchange cross-region `Deliver` events over one
-//! of these rings per directed cut edge: the sender enqueues the 8-byte
-//! record handle (`SlabRef`), the receiver drains at its next safe-time
-//! grant. The merged in-process scheduler does not need the ring on its
-//! hot path (see the `region` module docs for why the shared-memory merge
-//! is the CMB fixed point), but the transport is built, tested and
-//! micro-benchmarked here so the distributed deployment story is concrete
-//! rather than hypothetical — `benches` reports its throughput next to
+//! The engine's thread-per-region executor (`engine::parallel`) runs one
+//! ring per directed region pair: each worker ships the cross-region
+//! events it staged during an epoch and drains its inbound rings at the
+//! start of the next. `benches` reports the ring's throughput next to
 //! `batch_drain`.
 //!
 //! Design: the classic Lamport ring with cached indices. One fixed

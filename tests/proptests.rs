@@ -326,6 +326,93 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn multi_region_pop_order_matches_reference_model(
+        // The one pop order of a multi-region future-event list, pinned at
+        // the FEL level: `(at, region, seq)`. Ops are (kind, value,
+        // region) triples over K regions: relative schedules with mixed
+        // horizons, massed same-instant ties spread across regions,
+        // absolute schedules that often land in the past (clamped to
+        // "now"), single pops, horizon-limited run drains and peeks. A
+        // reference model sorted by `(at, region, seq)` must agree at
+        // every step on both backends, as must `len`, `now` and
+        // `processed`.
+        k in 2usize..6,
+        ops in proptest::collection::vec((0u8..6, 0u64..5_000, 0usize..6), 1..400),
+    ) {
+        for backend in [SchedulerBackend::BinaryHeap, SchedulerBackend::Calendar] {
+            let mut q: FutureEventList<u64> = FutureEventList::with_backend_regions(backend, 0, k);
+            // (at, region, seq, event); ids are minted in schedule order,
+            // so the id doubles as the seq.
+            let mut model: Vec<(u64, usize, u64, u64)> = Vec::new();
+            let (mut now, mut processed) = (0u64, 0u64);
+            let mut buf: Vec<u64> = Vec::new();
+            for (i, &(kind, v, r)) in ops.iter().enumerate() {
+                let (id, r) = (i as u64, r % k);
+                match kind {
+                    0 => {
+                        let delay = if v % 7 == 0 { v * 997 } else { v % 800 };
+                        q.schedule_tagged(r, delay, id);
+                        model.push((now + delay, r, id, id));
+                    }
+                    1 => {
+                        q.schedule_tagged(r, 13, id);
+                        model.push((now + 13, r, id, id));
+                    }
+                    2 => {
+                        q.schedule_at_tagged(r, v, id);
+                        model.push((v.max(now), r, id, id));
+                    }
+                    3 => {
+                        let want = model
+                            .iter()
+                            .enumerate()
+                            .min_by_key(|(_, e)| (e.0, e.1, e.2))
+                            .map(|(j, _)| j)
+                            .map(|j| model.remove(j))
+                            .map(|(at, _, _, ev)| (at, ev));
+                        prop_assert_eq!(q.pop(), want, "pop (backend {:?}, k {})", backend, k);
+                        if let Some((at, _)) = want {
+                            now = at;
+                            processed += 1;
+                        }
+                    }
+                    4 => {
+                        let horizon = now + v % 1_000;
+                        let got = q.pop_run_at_most(horizon, &mut buf);
+                        let min = model.iter().map(|e| e.0).min().filter(|&m| m <= horizon);
+                        prop_assert_eq!(got, min, "run instant (backend {:?}, k {})", backend, k);
+                        let mut run: Vec<_> =
+                            model.iter().copied().filter(|e| Some(e.0) == min).collect();
+                        run.sort_unstable();
+                        model.retain(|e| Some(e.0) != min);
+                        let want: Vec<u64> = run.iter().map(|e| e.3).collect();
+                        prop_assert_eq!(&buf, &want, "run order (backend {:?}, k {})", backend, k);
+                        if let Some(at) = min {
+                            now = at;
+                            processed += run.len() as u64;
+                        }
+                    }
+                    _ => {
+                        prop_assert_eq!(q.peek_time(), model.iter().map(|e| e.0).min());
+                    }
+                }
+                prop_assert_eq!(q.len(), model.len());
+                prop_assert_eq!(q.now(), now);
+                prop_assert_eq!(q.processed(), processed);
+            }
+            model.sort_unstable();
+            for (at, _, _, ev) in model {
+                prop_assert_eq!(q.pop(), Some((at, ev)), "drain (backend {:?}, k {})", backend, k);
+            }
+            prop_assert_eq!(q.pop(), None);
+        }
+    }
+}
+
+proptest! {
     // Full-simulation properties are expensive; fewer cases.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -353,81 +440,15 @@ proptest! {
     }
 
     #[test]
-    fn region_partitioning_preserves_digests_on_random_graphs(
-        // Random linear operator graphs (random stage count, per-stage
-        // parallelism, edge kinds, rate) run under a random region count:
-        // the K-region schedule must produce a byte-identical metrics
-        // digest, event count and final clock to the sequential engine,
-        // in both dispatch modes. This is the region contract the engine
-        // unit tests pin on fixed jobs, generalized over graph shape.
-        seed in 0u64..1000,
-        stages in 1usize..4,
-        pars in proptest::collection::vec(1usize..4, 3),
-        services in proptest::collection::vec(10u64..120, 3),
-        regions in 2usize..6,
-        batch in any::<bool>(),
-        rate in 1_000u64..8_000,
-    ) {
-        use drrs_repro::engine::graph::{EdgeKind, JobBuilder};
-        use drrs_repro::engine::operator::KeyedAgg;
-        use drrs_repro::engine::world::tests_support::FixedGen;
-        use drrs_repro::engine::world::DispatchMode;
-
-        let run = |k: usize| {
-            let mut cfg = EngineConfig::test();
-            cfg.seed = seed;
-            cfg.regions = k;
-            let mut b = JobBuilder::new(cfg);
-            let src = b.source(
-                "src",
-                1,
-                Box::new(move |_| Box::new(FixedGen::new(rate as f64, 256))),
-            );
-            let mut prev = src;
-            for s in 0..stages {
-                let service = services[s];
-                let op = b.operator(
-                    &format!("op{s}"),
-                    pars[s],
-                    Box::new(move || Box::new(KeyedAgg {
-                        service,
-                        bytes_per_key: 500,
-                        bytes_per_record: 0,
-                        emit_every: 1,
-                    })),
-                );
-                // Keyed state demands keyed routing on every operator
-                // inbound edge; only the sink edge may rebalance.
-                b.connect(prev, op, EdgeKind::Keyed);
-                prev = op;
-            }
-            let sink = b.sink("sink", 1);
-            b.connect(prev, sink, EdgeKind::Rebalance);
-            let mode = if batch { DispatchMode::Batch } else { DispatchMode::SinglePop };
-            let mut sim = Sim::new(b.build(), Box::new(drrs_repro::engine::NoScale))
-                .with_dispatch_mode(mode);
-            sim.run_until(secs(2));
-            (
-                sim.world.metrics_digest(),
-                sim.world.q.processed(),
-                sim.world.q.now(),
-                sim.world.metrics.sink_records,
-            )
-        };
-        let reference = run(1);
-        let partitioned = run(regions);
-        prop_assert_eq!(reference, partitioned, "{} regions diverged from sequential", regions);
-    }
-
-    #[test]
     fn parallel_execution_matches_sequential_on_random_graphs(
         // The thread-per-region executor's exactness contract, generalized
         // over graph shape: random keyed pipelines × random region count ×
-        // resume latency ∈ {0, small}. At resume_latency = 0 `run_parallel`
-        // must fall back to the sequential engine (no lookahead to run
-        // epochs on); at > 0 the threaded run must reproduce the
-        // sequential PDES engine's digest, processed count and sink
-        // records exactly — same quad, independent of thread scheduling.
+        // resume latency ∈ {0, small}. Resume latency 0 runs one region
+        // (PDES needs a positive one), where `run_parallel` must fall back
+        // to the sequential engine; at > 0 the threaded run must
+        // reproduce the sequential PDES engine's digest, processed count
+        // and sink records exactly — same quad, independent of thread
+        // scheduling.
         seed in 0u64..1000,
         stages in 1usize..4,
         pars in proptest::collection::vec(1usize..4, 3),
@@ -436,9 +457,10 @@ proptest! {
         rl_pick in 0usize..3,
         rate in 1_000u64..8_000,
     ) {
-        // Resume latency axis: 0 (sequential-fallback contract) and two
-        // small real lookaheads (PDES epochs).
+        // Resume latency axis: 0 (the single-region fallback contract)
+        // and two small real lookaheads (PDES epochs).
         let resume_latency = [0u64, 100, 400][rl_pick];
+        let regions = if resume_latency == 0 { 1 } else { regions };
         use drrs_repro::engine::graph::{EdgeKind, JobBuilder};
         use drrs_repro::engine::operator::KeyedAgg;
         use drrs_repro::engine::world::tests_support::FixedGen;
@@ -481,7 +503,7 @@ proptest! {
         prop_assert_eq!(seq.world.q.now(), secs(1), "sequential clock short of horizon");
         let report = drrs_repro::engine::run_parallel(build, secs(1));
         if resume_latency == 0 {
-            prop_assert_eq!(report.threads, 1, "rl=0 must fall back to the sequential engine");
+            prop_assert_eq!(report.threads, 1, "one region must fall back to the sequential engine");
         }
         prop_assert_eq!(
             report.digest(), seq.world.metrics_digest(),
@@ -536,12 +558,12 @@ proptest! {
 
     #[test]
     fn region_scheduler_never_deadlocks(
-        // Backpressured tiny job: blocked senders are woken by receiver-side
-        // pumps, which are zero-lookahead reverse edges between regions —
-        // the classic conservative-PDES deadlock shape. Any region count
-        // must still drain every event up to the horizon and land the
-        // clock exactly there, with every region's own clock caught up on
-        // its pending work.
+        // Backpressured tiny job on the sequential PDES engine: blocked
+        // senders on a cut channel wait for `CutCredit` returns that carry
+        // only the resume latency of lookahead — the classic
+        // conservative-PDES deadlock shape. Any region count must still
+        // drain every event up to the horizon, land the clock exactly
+        // there, and account every dispatched event to some region.
         seed in 0u64..200,
         regions in 2usize..6,
         par in 1usize..4,
@@ -549,13 +571,16 @@ proptest! {
         let mut cfg = EngineConfig::test();
         cfg.seed = seed;
         cfg.regions = regions;
+        cfg.resume_latency = 100;
         let (w, _) = tiny_job(cfg, 30_000.0, 64, par);
         let mut sim = Sim::new(w, Box::new(drrs_repro::engine::NoScale));
         sim.run_until(secs(2));
         prop_assert!(sim.world.q.processed() > 0, "no events dispatched");
         prop_assert_eq!(sim.world.q.now(), secs(2), "clock stalled before the horizon");
-        let stats = sim.world.q.region_sync_stats();
-        prop_assert!(stats.runs > 0, "no region runs accounted");
+        let per_region: u64 = (0..sim.world.q.regions())
+            .map(|r| sim.world.q.region_processed(r))
+            .sum();
+        prop_assert_eq!(per_region, sim.world.q.processed(), "events lost between regions");
     }
 
     #[test]
